@@ -16,13 +16,20 @@
 //!   mask, count by scanning);
 //! * [`flat_prune`] — the pre-trie all-pairs pruning implementation,
 //!   preserved as the byte-identical oracle for the trie-driven prune;
+//! * [`csv_oracle`], [`join_oracle`], [`encode_oracle`] — the
+//!   three-pass CSV reader, the cell-by-cell joins and the
+//!   label-emitting encoder (with sort-based binning) that the one-pass
+//!   reader, the typed-gather joins and the id-table encoder replaced,
+//!   kept as their oracles;
 //! * [`fault`] — seeded fault-injection plans ([`fault::FaultPlan`]) for
 //!   the chaos suite: corrupted CSV text, injected stage panics, forced
 //!   budget trips, and failing trace-log writers;
 //! * `tests/` — the property suites themselves: `differential` (miners vs
 //!   oracle vs each other), `rule_invariants`, `prune_invariants`,
 //!   `rule_trie` (trie-driven prune vs the flat oracle, byte-identical),
-//!   `binning_invariants`, `roundtrip` (CSV + sacct), `regressions`
+//!   `binning_invariants`, `roundtrip` (CSV + sacct),
+//!   `ingest_differential` (reader, joins and encoder vs their oracles),
+//!   `regressions`
 //!   (deterministic locks on previously found bugs), and `chaos` (the
 //!   fault-tolerance contract of `irma_core::try_analyze`).
 //!
@@ -41,9 +48,12 @@
 
 #![warn(missing_docs)]
 
+pub mod csv_oracle;
+pub mod encode_oracle;
 pub mod fault;
 pub mod flat_prune;
 pub mod generators;
+pub mod join_oracle;
 pub mod oracle;
 
 use std::path::PathBuf;

@@ -1,10 +1,12 @@
 //! Binning invariants: histograms conserve mass, assignment is monotone
-//! with right-closed tie semantics, and non-finite inputs never shift an
-//! edge.
+//! with right-closed tie semantics, non-finite inputs never shift an
+//! edge, and the selection-based edges and counting spike detector agree
+//! bit for bit with the sort-based reference.
 
 use proptest::prelude::*;
 
-use irma_prep::{BinEdges, BinningScheme};
+use irma_check::encode_oracle;
+use irma_prep::{detect_spike, BinEdges, BinningScheme};
 
 fn arb_values() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1.0e9f64..1.0e9, 1..200)
@@ -114,5 +116,33 @@ proptest! {
             prop_assert!(v >= last, "quantile not monotone in q");
             last = v;
         }
+    }
+
+    #[test]
+    fn selection_edges_and_spikes_match_sort_reference(
+        // Indices into a pool with heavy ties, both zeros, NaN and ±inf.
+        picks in proptest::collection::vec(0usize..12, 0..120),
+        spread in proptest::collection::vec(-1.0e3f64..1.0e3, 0..40),
+        n_bins in 1usize..=8,
+        scheme in arb_scheme(),
+        min_share in 0.0f64..0.6,
+    ) {
+        let pool = [
+            0.0, -0.0, 0.0, 600.0, 600.0, 1.5, -2.25, f64::NAN, -f64::NAN,
+            f64::INFINITY, f64::NEG_INFINITY, 1e300,
+        ];
+        let mut values: Vec<f64> = picks.iter().map(|&i| pool[i]).collect();
+        values.extend(spread);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let got = BinEdges::fit(&values, n_bins, scheme);
+        let want = encode_oracle::fit_edges(&values, n_bins, scheme);
+        prop_assert_eq!(
+            got.as_ref().map(|e| bits(e.edges())),
+            want.as_ref().map(|e| bits(e))
+        );
+        prop_assert_eq!(
+            detect_spike(&values, min_share).map(f64::to_bits),
+            encode_oracle::detect_spike(&values, min_share).map(f64::to_bits)
+        );
     }
 }

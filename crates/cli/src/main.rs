@@ -18,15 +18,15 @@ use irma_core::export::export_all;
 use irma_core::insights::insight_report;
 use irma_core::{
     analyze_traced, failure_prediction, pai_spec, philly_spec, prepare, prepare_all,
-    supercloud_spec, try_analyze_traced, AnalysisConfig, EventSink, ExecBudget, ExperimentScale,
-    Metrics, PipelineError, Provenance,
+    read_merged_csv_dir, supercloud_spec, try_analyze_traced, AnalysisConfig, EventSink,
+    ExecBudget, ExperimentScale, Metrics, PipelineError, Provenance,
 };
 use irma_core::{watch_feed, Emission, WatchConfig, KW_FAILED};
 use irma_mine::{ItemCatalog, MinerConfig};
 use irma_obs::serve::{ScrapeHandler, ScrapeResponse, ScrapeServer};
 use irma_prep::fit;
 use irma_rules::{Rule, RuleConfig};
-use irma_synth::{pai, philly, read_merged_csv_dir, supercloud, TraceConfig};
+use irma_synth::{pai, philly, supercloud, TraceConfig};
 
 /// How a successful subcommand finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,11 +243,6 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             deadline,
             threads,
         } => {
-            let merged = match dir {
-                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace)
-                    .map_err(|e| format!("reading trace CSVs: {e}"))?,
-                None => generate_bundle(&trace, jobs, seed).merged(),
-            };
             // The sink stays a no-op unless somebody asked for output.
             let mut metrics = if metrics_path.is_some() || verbose_stages {
                 Metrics::enabled()
@@ -260,6 +255,13 @@ fn run(command: Command) -> Result<Outcome, Failure> {
                 metrics = metrics.with_event_sink(sink);
                 eprintln!("streaming trace events to {path}");
             }
+            // Root span over the whole run, ingest included.
+            let root = metrics.span("cli.analyze");
+            let merged = match dir {
+                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace, &metrics)
+                    .map_err(|e| format!("reading trace CSVs: {e}"))?,
+                None => generate_bundle(&trace, jobs, seed).merged(),
+            };
             let config = AnalysisConfig {
                 budget: ExecBudget {
                     max_itemsets: budget_itemsets,
@@ -308,6 +310,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             if insights {
                 print!("{}", insight_report(&analysis, &keyword, top));
             }
+            drop(root);
             if metrics.is_enabled() {
                 let snapshot = metrics.snapshot();
                 if verbose_stages {
@@ -342,7 +345,7 @@ fn run(command: Command) -> Result<Outcome, Failure> {
             c_supp,
         } => {
             let merged = match dir {
-                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace)
+                Some(dir) => read_merged_csv_dir(Path::new(&dir), &trace, &Metrics::disabled())
                     .map_err(|e| format!("reading trace CSVs: {e}"))?,
                 None => generate_bundle(&trace, jobs, seed).merged(),
             };

@@ -52,7 +52,7 @@ pub use sched::{record_sched_snapshot, record_sched_stats, sched_stats_to_obs};
 pub use specs::{
     pai_spec, philly_spec, supercloud_spec, KW_FAILED, KW_KILLED, KW_MULTI_GPU, KW_SM_ZERO,
 };
-pub use traces::{prepare, prepare_all, ExperimentScale, TraceAnalysis};
+pub use traces::{prepare, prepare_all, read_merged_csv_dir, ExperimentScale, TraceAnalysis};
 pub use watch::{watch_feed, AdaptiveSampler, Emission, SpscRing, WatchConfig, WatchSummary};
 pub use workflow::{analyze, analyze_traced, analyze_with, Analysis, AnalysisConfig};
 

@@ -1,6 +1,10 @@
-//! One-call preparation of a trace: generate -> merge -> analyze.
+//! One-call preparation of a trace: generate -> merge -> analyze, and
+//! the on-disk counterpart of the merge step.
 
-use irma_data::Frame;
+use std::path::Path;
+
+use irma_data::{inner_join, read_csv_path, Frame};
+use irma_obs::Metrics;
 use irma_synth::{pai, philly, supercloud, TraceBundle, TraceConfig};
 
 use crate::specs::{pai_spec, philly_spec, supercloud_spec};
@@ -101,9 +105,62 @@ pub fn prepare_all(scale: &ExperimentScale, config: &AnalysisConfig) -> [TraceAn
     ]
 }
 
+/// Reads a trace previously written by [`TraceBundle::write_csv_dir`] and
+/// re-joins it into the analysis frame. Records one `data.read_csv` span
+/// per file (fields `bytes` and `rows`) and one `data.join` span into
+/// `metrics`.
+pub fn read_merged_csv_dir<P: AsRef<Path>>(
+    dir: P,
+    name: &str,
+    metrics: &Metrics,
+) -> irma_data::Result<Frame> {
+    let dir = dir.as_ref();
+    let read = |file: String| -> irma_data::Result<Frame> {
+        let path = dir.join(file);
+        let mut span = metrics.span("data.read_csv");
+        let frame = read_csv_path(&path)?;
+        span.field("bytes", std::fs::metadata(&path).map_or(0, |m| m.len()));
+        span.field("rows", frame.n_rows() as u64);
+        Ok(frame)
+    };
+    let scheduler = read(format!("{name}_scheduler.csv"))?;
+    let monitoring = read(format!("{name}_monitoring.csv"))?;
+    let _span = metrics.span("data.join");
+    inner_join(&scheduler, &monitoring, "job_id")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bundle_csv_dir_round_trip() {
+        let bundle = supercloud(&TraceConfig {
+            n_jobs: 200,
+            seed: 3,
+            max_monitor_samples: 16,
+        });
+        let dir = std::env::temp_dir().join(format!("irma_bundle_{}", std::process::id()));
+        let (sched, mon) = bundle.write_csv_dir(&dir).unwrap();
+        assert!(sched.exists() && mon.exists());
+        let metrics = Metrics::enabled();
+        let merged = read_merged_csv_dir(&dir, "supercloud", &metrics).unwrap();
+        assert_eq!(merged.n_rows(), bundle.n_jobs());
+        assert_eq!(merged.n_cols(), bundle.merged().n_cols());
+        let snapshot = metrics.snapshot();
+        let reads: Vec<_> = snapshot
+            .stages
+            .iter()
+            .filter(|s| s.stage == "data.read_csv")
+            .collect();
+        assert_eq!(reads.len(), 2);
+        for read in reads {
+            assert_eq!(read.field("rows"), Some(200));
+            assert!(read.field("bytes").is_some_and(|b| b > 0));
+        }
+        assert!(snapshot.stage("data.join").is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn prepare_runs_all_traces() {

@@ -79,22 +79,13 @@ impl Value {
     /// `true`/`false` become `Bool`; otherwise integers are tried before
     /// floats, and anything left is a string.
     pub fn parse_lossy(field: &str) -> Value {
-        if field.is_empty() {
-            return Value::Null;
+        match Cell::parse(field) {
+            Cell::Null => Value::Null,
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Str => Value::Str(field.to_string()),
         }
-        match field {
-            "null" | "NULL" | "NaN" | "nan" | "NA" | "na" => return Value::Null,
-            "true" | "TRUE" | "True" => return Value::Bool(true),
-            "false" | "FALSE" | "False" => return Value::Bool(false),
-            _ => {}
-        }
-        if let Ok(i) = field.parse::<i64>() {
-            return Value::Int(i);
-        }
-        if let Ok(f) = field.parse::<f64>() {
-            return Value::Float(f);
-        }
-        Value::Str(field.to_string())
     }
 
     /// Total order used by sorts: Null < Bool < Int/Float < Str, with
@@ -119,6 +110,39 @@ impl Value {
             (Str(a), Str(b)) => a.cmp(b),
             (a, b) => rank(a).cmp(&rank(b)),
         }
+    }
+}
+
+/// A field classified by [`Value::parse_lossy`]'s rules without
+/// allocating: the CSV reader classifies every cell once through this
+/// and keeps the text of `Str` cells borrowed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Cell {
+    Null,
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    Str,
+}
+
+impl Cell {
+    /// The one place the cell rules live: empty and null literals are
+    /// null, bool literals are bools, `i64` is tried before `f64`, and
+    /// anything else is text.
+    pub(crate) fn parse(field: &str) -> Cell {
+        match field {
+            "" | "null" | "NULL" | "NaN" | "nan" | "NA" | "na" => return Cell::Null,
+            "true" | "TRUE" | "True" => return Cell::Bool(true),
+            "false" | "FALSE" | "False" => return Cell::Bool(false),
+            _ => {}
+        }
+        if let Ok(i) = field.parse::<i64>() {
+            return Cell::Int(i);
+        }
+        if let Ok(f) = field.parse::<f64>() {
+            return Cell::Float(f);
+        }
+        Cell::Str
     }
 }
 

@@ -45,6 +45,37 @@ impl TransactionDb {
         }
     }
 
+    /// Builds a database from its packed form: transaction `t` is
+    /// `items[offsets[t]..offsets[t + 1]]`. Every transaction must already
+    /// be sorted and deduplicated, and every id below `n_items`.
+    ///
+    /// # Panics
+    /// When the buffers break any of those rules.
+    pub fn from_csr(offsets: Vec<u32>, items: Vec<ItemId>, n_items: usize) -> TransactionDb {
+        assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
+        assert_eq!(
+            offsets.last().map(|&end| end as usize),
+            Some(items.len()),
+            "offsets must end at the item count"
+        );
+        for pair in offsets.windows(2) {
+            let txn = &items[pair[0] as usize..pair[1] as usize];
+            assert!(
+                txn.windows(2).all(|w| w[0] < w[1]),
+                "transactions must be sorted and deduplicated"
+            );
+            assert!(
+                txn.last().is_none_or(|&last| (last as usize) < n_items),
+                "item id outside the universe"
+            );
+        }
+        TransactionDb {
+            offsets,
+            items,
+            n_items,
+        }
+    }
+
     /// Overrides the item-universe size (ids in `0..n_items`).
     pub fn with_universe(mut self, n_items: usize) -> TransactionDb {
         assert!(n_items >= self.n_items, "universe smaller than max item id");
@@ -166,6 +197,24 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.support(&Itemset::singleton(0)), 0.0);
         assert_eq!(d.mean_transaction_len(), 0.0);
+    }
+
+    #[test]
+    fn from_csr_matches_from_transactions() {
+        let d = db();
+        let packed =
+            TransactionDb::from_csr(vec![0, 3, 5, 7, 9], vec![0, 1, 2, 1, 2, 0, 2, 0, 2], 3);
+        assert_eq!(packed.len(), d.len());
+        assert_eq!(packed.n_items(), d.n_items());
+        for t in 0..d.len() {
+            assert_eq!(packed.transaction(t), d.transaction(t));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and deduplicated")]
+    fn from_csr_rejects_unsorted_rows() {
+        let _ = TransactionDb::from_csr(vec![0, 2], vec![2, 1], 3);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! and rejects it (long-tailed features leave high bins empty); the
 //! ablation bench reproduces that comparison.
 
+use std::collections::HashMap;
+
 /// How bin edges are derived from the observed values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BinningScheme {
@@ -46,18 +48,15 @@ impl BinEdges {
     /// simply empty.
     pub fn fit(values: &[f64], n_bins: usize, scheme: BinningScheme) -> Option<BinEdges> {
         assert!(n_bins >= 1, "need at least one bin");
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        if sorted.is_empty() {
+        let mut finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+        if finite.is_empty() {
             return None;
         }
-        sorted.sort_unstable_by(f64::total_cmp);
         let edges = match scheme {
-            BinningScheme::EqualFrequency => (1..n_bins)
-                .map(|i| try_quantile_sorted(&sorted, i as f64 / n_bins as f64))
-                .collect::<Option<Vec<f64>>>()?,
+            BinningScheme::EqualFrequency => equal_frequency_edges(&mut finite, n_bins),
             BinningScheme::EqualWidth => {
-                let lo = sorted[0];
-                let hi = sorted[sorted.len() - 1];
+                let lo = finite.iter().copied().min_by(f64::total_cmp)?;
+                let hi = finite.iter().copied().max_by(f64::total_cmp)?;
                 let width = (hi - lo) / n_bins as f64;
                 (1..n_bins).map(|i| lo + width * i as f64).collect()
             }
@@ -93,6 +92,41 @@ impl BinEdges {
     }
 }
 
+/// The `i / n_bins` quantiles of non-empty finite `values` for `i` in
+/// `1..n_bins`, equal bit for bit to [`try_quantile_sorted`] over the
+/// sorted values but found by selection: each needed order statistic is
+/// selected, in ascending rank, from the suffix not yet partitioned.
+fn equal_frequency_edges(values: &mut [f64], n_bins: usize) -> Vec<f64> {
+    let n = values.len();
+    if n == 1 {
+        return vec![values[0]; n_bins - 1];
+    }
+    // (lo rank, hi rank, weight of hi) per edge, as `try_quantile_sorted`
+    // computes them.
+    let positions: Vec<(usize, usize, f64)> = (1..n_bins)
+        .map(|i| {
+            let pos = (i as f64 / n_bins as f64) * (n - 1) as f64;
+            let lo = pos.floor() as usize;
+            (lo, pos.ceil() as usize, pos - lo as f64)
+        })
+        .collect();
+    let mut ranks: Vec<usize> = positions.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut start = 0;
+    let mut selected = Vec::with_capacity(ranks.len());
+    for &rank in &ranks {
+        let (_, value, _) = values[start..].select_nth_unstable_by(rank - start, f64::total_cmp);
+        selected.push(*value);
+        start = rank + 1;
+    }
+    let at = |rank: usize| selected[ranks.partition_point(|&r| r < rank)];
+    positions
+        .iter()
+        .map(|&(lo, hi, frac)| at(lo) * (1.0 - frac) + at(hi) * frac)
+        .collect()
+}
+
 /// Linear-interpolated quantile of a slice sorted by [`f64::total_cmp`].
 ///
 /// Non-finite entries are ignored: total order puts `-NaN`/`-inf` before
@@ -126,33 +160,34 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Detects a "standard value" spike: the modal value if it covers at least
-/// `min_share` of the (finite) values. Exact equality is intended — request
+/// `min_share` of the values. Exact equality is intended — request
 /// defaults are exact constants in schedulers.
+///
+/// One counting pass, no sort. Values group by `==`, so `-0.0` and `0.0`
+/// are one value, reported as `-0.0` when any negative zero is present
+/// (the first of the run in [`f64::total_cmp`] order). Equal counts go
+/// to the smaller value. NaN equals nothing, so it is never the spike,
+/// but it counts toward the share's denominator.
 pub fn detect_spike(values: &[f64], min_share: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    let mut best_value = sorted[0];
-    let mut best_count = 0usize;
-    let mut i = 0;
-    while i < sorted.len() {
-        let mut j = i;
-        while j < sorted.len() && sorted[j] == sorted[i] {
-            j += 1;
+    // Canonical bits -> (count, least member by total order).
+    let mut counts: HashMap<u64, (usize, f64)> = HashMap::new();
+    for &v in values.iter().filter(|v| !v.is_nan()) {
+        let key = if v == 0.0 { 0 } else { v.to_bits() };
+        let entry = counts.entry(key).or_insert((0, v));
+        entry.0 += 1;
+        if v.total_cmp(&entry.1).is_lt() {
+            entry.1 = v;
         }
-        if j - i > best_count {
-            best_count = j - i;
-            best_value = sorted[i];
+    }
+    let (count, value) = counts.into_values().reduce(|best, next| {
+        let wins = next.0 > best.0 || (next.0 == best.0 && next.1.total_cmp(&best.1).is_lt());
+        if wins {
+            next
+        } else {
+            best
         }
-        i = j;
-    }
-    if best_count as f64 / values.len() as f64 >= min_share {
-        Some(best_value)
-    } else {
-        None
-    }
+    })?;
+    (count as f64 / values.len() as f64 >= min_share).then_some(value)
 }
 
 #[cfg(test)]

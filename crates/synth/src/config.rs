@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use irma_data::{inner_join, read_csv_path, write_csv_path, Frame};
+use irma_data::{inner_join, write_csv_path, Frame};
 
 /// Scale and determinism knobs for a trace profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,35 +129,10 @@ impl TraceBundle {
     }
 }
 
-/// Reads a trace previously written by [`TraceBundle::write_csv_dir`] and
-/// re-joins it into the analysis frame.
-pub fn read_merged_csv_dir<P: AsRef<Path>>(dir: P, name: &str) -> irma_data::Result<Frame> {
-    let dir = dir.as_ref();
-    let scheduler = read_csv_path(dir.join(format!("{name}_scheduler.csv")))?;
-    let monitoring = read_csv_path(dir.join(format!("{name}_monitoring.csv")))?;
-    inner_join(&scheduler, &monitoring, "job_id")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::supercloud;
-
-    #[test]
-    fn bundle_csv_dir_round_trip() {
-        let bundle = supercloud(&TraceConfig {
-            n_jobs: 200,
-            seed: 3,
-            max_monitor_samples: 16,
-        });
-        let dir = std::env::temp_dir().join(format!("irma_bundle_{}", std::process::id()));
-        let (sched, mon) = bundle.write_csv_dir(&dir).unwrap();
-        assert!(sched.exists() && mon.exists());
-        let merged = read_merged_csv_dir(&dir, "supercloud").unwrap();
-        assert_eq!(merged.n_rows(), bundle.n_jobs());
-        assert_eq!(merged.n_cols(), bundle.merged().n_cols());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn truth_shares_sum_to_one() {

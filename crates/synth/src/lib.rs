@@ -33,10 +33,7 @@ pub mod sched;
 mod supercloud;
 pub mod users;
 
-pub use config::{
-    read_merged_csv_dir, PaperScale, TraceBundle, TraceConfig, PAI_SCALE, PHILLY_SCALE,
-    SUPERCLOUD_SCALE,
-};
+pub use config::{PaperScale, TraceBundle, TraceConfig, PAI_SCALE, PHILLY_SCALE, SUPERCLOUD_SCALE};
 pub use pai::{pai, STD_CPU_REQUEST, STD_MEM_REQUEST_GB};
 pub use philly::philly;
 pub use supercloud::supercloud;

@@ -118,14 +118,28 @@ where
         let f = (*job.f.get()).take().expect("job executed twice");
         let result = std::panic::catch_unwind(AssertUnwindSafe(f));
         *job.result.get() = Some(result);
-        job.done.store(true, Ordering::Release);
-        if let Some(thread) = job.waiter.lock().expect("waiter lock").take() {
+        // Publish `done` and take the waiter under the lock: once the
+        // guard drops, the owner may return and reuse the frame, so the
+        // job must not be touched again. The taken `Thread` is owned.
+        let waiter = {
+            let mut slot = job.waiter.lock().expect("waiter lock");
+            job.done.store(true, Ordering::Release);
+            slot.take()
+        };
+        if let Some(thread) = waiter {
             thread.unpark();
         }
     }
 
     fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
+    }
+
+    /// Waits out an executor that published `done` but may still hold
+    /// the waiter lock. Owners that saw `done` without the lock call
+    /// this before returning or reading the result.
+    fn sync_with_executor(&self) {
+        drop(self.waiter.lock().expect("waiter lock"));
     }
 
     /// Blocks a non-worker thread until the job completes.
@@ -757,6 +771,7 @@ where
             None => thread::yield_now(),
         }
     }
+    job_b.sync_with_executor();
     let rb = job_b.take_result();
 
     match (ra, rb) {
