@@ -63,7 +63,8 @@ pub mod serve;
 pub use event::EventSink;
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use provenance::{
-    GenFilter, Provenance, PruneRole, PruneStep, RuleInfo, RuleKey, RuleProvenance,
+    GenFilter, Provenance, PruneDecision, PruneRole, PruneStep, RuleId, RuleInfo, RuleKey,
+    RuleProvenance, RuleRef,
 };
 
 use std::collections::BTreeMap;

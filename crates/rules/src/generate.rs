@@ -10,7 +10,7 @@
 use irma_obs::{GenFilter, Metrics, Provenance};
 use rayon::prelude::*;
 
-use irma_mine::FrequentItemsets;
+use irma_mine::{FrequentItemsets, Itemset};
 
 use crate::rule::Rule;
 
@@ -115,40 +115,74 @@ fn generate_rules_inner(
     config: &RuleConfig,
     provenance: &Provenance,
 ) -> Vec<Rule> {
-    let n = frequent.n_transactions();
-    let mut rules: Vec<Rule> = frequent
+    let itemsets = frequent
         .as_slice()
         .par_iter()
-        .filter(|(set, _)| set.len() >= 2)
-        .flat_map_iter(|(set, xy_count)| {
-            let mut local = Vec::new();
-            for antecedent in set.proper_subsets() {
-                let consequent = set.difference(&antecedent);
-                let x_count = frequent
-                    .count(&antecedent)
-                    .expect("downward closure: antecedent must be frequent");
-                let y_count = frequent
-                    .count(&consequent)
-                    .expect("downward closure: consequent must be frequent");
-                let rule =
-                    Rule::from_counts(antecedent, consequent, *xy_count, x_count, y_count, n);
-                let filtered = gen_filter(&rule, config);
-                if provenance.is_enabled() {
-                    provenance.record_candidate(rule.provenance_info(), filtered);
-                }
-                if filtered.is_none() {
-                    local.push(rule);
-                }
-            }
-            local
-        })
-        .collect();
+        .filter(|(set, _)| set.len() >= 2);
+    let mut rules: Vec<Rule> = if provenance.is_enabled() {
+        // Every candidate comes back from the workers with its filter
+        // verdict and is registered in one call, under one lock.
+        let candidates: Vec<(Rule, Option<GenFilter>)> = itemsets
+            .flat_map_iter(|(set, xy_count)| {
+                let mut local = Vec::new();
+                for_each_candidate(frequent, set, *xy_count, config, |rule, filtered| {
+                    local.push((rule, filtered));
+                });
+                local
+            })
+            .collect();
+        provenance.record_candidates(
+            candidates
+                .iter()
+                .map(|(rule, filtered)| (rule.provenance_ref(), *filtered)),
+        );
+        candidates
+            .into_iter()
+            .filter_map(|(rule, filtered)| filtered.is_none().then_some(rule))
+            .collect()
+    } else {
+        itemsets
+            .flat_map_iter(|(set, xy_count)| {
+                let mut local = Vec::new();
+                for_each_candidate(frequent, set, *xy_count, config, |rule, filtered| {
+                    if filtered.is_none() {
+                        local.push(rule);
+                    }
+                });
+                local
+            })
+            .collect()
+    };
     rules.sort_unstable_by(|a, b| {
         a.antecedent
             .cmp(&b.antecedent)
             .then_with(|| a.consequent.cmp(&b.consequent))
     });
     rules
+}
+
+/// Hands every candidate rule `X => set \ X` of one frequent itemset to
+/// `emit`, with the generation threshold (if any) that rejects it.
+fn for_each_candidate(
+    frequent: &FrequentItemsets,
+    set: &Itemset,
+    xy_count: u64,
+    config: &RuleConfig,
+    mut emit: impl FnMut(Rule, Option<GenFilter>),
+) {
+    let n = frequent.n_transactions();
+    for antecedent in set.proper_subsets() {
+        let consequent = set.difference(&antecedent);
+        let x_count = frequent
+            .count(&antecedent)
+            .expect("downward closure: antecedent must be frequent");
+        let y_count = frequent
+            .count(&consequent)
+            .expect("downward closure: consequent must be frequent");
+        let rule = Rule::from_counts(antecedent, consequent, xy_count, x_count, y_count, n);
+        let filtered = gen_filter(&rule, config);
+        emit(rule, filtered);
+    }
 }
 
 #[cfg(test)]

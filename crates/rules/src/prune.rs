@@ -23,17 +23,20 @@
 //! ([`GroupPlan`]); the two conditions of a grouping then reuse the same
 //! pair list. Groups partition the rules, so they are evaluated in
 //! parallel through the rayon shim; each group's verdicts are buffered
-//! ([`PairEvent`]) and replayed sequentially in canonical group order,
+//! ([`GroupEvents`]) and replayed sequentially in canonical group order,
 //! which keeps the kept set, the `PruneRecord` sequence, and the
 //! provenance chains byte-identical to the flat all-pairs implementation
 //! (retained in `irma-check` as the differential oracle) at any pool
-//! width.
+//! width. With a provenance recorder attached, each relevant rule is
+//! resolved to its recorder id once, and each condition's decisions are
+//! appended as one id-keyed batch; the recorder renders their text on
+//! read.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use irma_mine::{ItemId, Itemset};
-use irma_obs::{Metrics, Provenance};
+use irma_obs::{Metrics, Provenance, PruneDecision, RuleId};
 use rayon::prelude::*;
 
 use crate::rule::{Rule, RuleRole};
@@ -279,6 +282,8 @@ fn prune_rules_inner(
     let by_consequent = GroupPlan::build(&relevant, Grouping::ByConsequent);
     let by_antecedent = GroupPlan::build(&relevant, Grouping::ByAntecedent);
 
+    // Recorder ids, parallel to `relevant` (empty when not recording).
+    let ids = provenance.register(relevant.iter().map(Rule::provenance_ref));
     let mut alive = vec![true; relevant.len()];
     let mut pruned: Vec<PruneRecord> = Vec::new();
 
@@ -296,14 +301,11 @@ fn prune_rules_inner(
             &mut alive,
             &mut pruned,
             provenance,
+            &ids,
         );
     }
 
-    if provenance.is_enabled() {
-        for (rule, &is_alive) in relevant.iter().zip(&alive) {
-            provenance.mark_kept(&rule.provenance_info(), is_alive);
-        }
-    }
+    provenance.mark_kept_ids(ids.iter().copied().zip(alive.iter().copied()));
 
     // Move the survivors out of `relevant` instead of cloning them a
     // second time: each kept rule is cloned exactly once, when the
@@ -418,24 +420,19 @@ fn nested_pairs(rules: &[Rule], members: &[u32], grouping: Grouping) -> Vec<Nest
     pairs
 }
 
-/// One buffered verdict from a group's evaluation, replayed sequentially.
-#[derive(Debug)]
-enum PairEvent {
-    /// A condition fired; recorded in provenance (echo edges included).
-    /// Only emitted when a provenance recorder is attached.
-    Decision {
-        winner: u32,
-        loser: u32,
-        branch: &'static str,
-        margin: f64,
-        detail: String,
-        effective: bool,
-    },
-    /// The loser was still alive: mark it dead and emit a `PruneRecord`.
-    Death { loser: u32, winner: u32 },
-    /// The condition applied but neither branch fired. Only emitted when
-    /// a provenance recorder is attached.
-    Undecided { short: u32, long: u32 },
+/// One group's buffered verdicts for one condition, replayed
+/// sequentially in canonical group order.
+#[derive(Debug, Default)]
+struct GroupEvents {
+    /// `(loser, winner)` indices of every still-alive loser, in
+    /// evaluation order: mark it dead and emit a `PruneRecord`.
+    deaths: Vec<(u32, u32)>,
+    /// Every firing decision, echo edges included, by recorder id. Only
+    /// filled when a provenance recorder is attached.
+    decisions: Vec<PruneDecision>,
+    /// `(short, long)` recorder ids of each pair the condition applied to
+    /// without either branch firing. Only filled when recording.
+    undecided: Vec<(RuleId, RuleId)>,
 }
 
 /// Evaluates one condition over a pre-computed group plan.
@@ -443,7 +440,9 @@ enum PairEvent {
 /// Groups partition the rules of a grouping, so their evaluations are
 /// independent and run in parallel; the buffered events are then replayed
 /// in canonical group order, making the output independent of pool width
-/// and steal order.
+/// and steal order. `ids` maps rule indices to provenance ids (empty when
+/// not recording); the condition's decisions reach the recorder as one
+/// batch.
 #[allow(clippy::too_many_arguments)]
 fn apply_condition(
     condition: PruneCondition,
@@ -454,51 +453,29 @@ fn apply_condition(
     alive: &mut [bool],
     pruned: &mut Vec<PruneRecord>,
     provenance: &Provenance,
+    ids: &[RuleId],
 ) {
-    let record = provenance.is_enabled();
     let snapshot: &[bool] = alive;
-    let outcomes: Vec<Vec<PairEvent>> = plan
+    let outcomes: Vec<GroupEvents> = plan
         .groups
         .par_iter()
-        .map(|pairs| evaluate_group(condition, rules, keyword, params, pairs, snapshot, record))
+        .map(|pairs| evaluate_group(condition, rules, keyword, params, pairs, snapshot, ids))
         .collect();
-    for events in outcomes {
-        for event in events {
-            match event {
-                PairEvent::Decision {
-                    winner,
-                    loser,
-                    branch,
-                    margin,
-                    detail,
-                    effective,
-                } => {
-                    provenance.record_decision(
-                        condition.number(),
-                        branch,
-                        margin,
-                        &detail,
-                        &rules[winner as usize].provenance_info(),
-                        &rules[loser as usize].provenance_info(),
-                        effective,
-                    );
-                }
-                PairEvent::Death { loser, winner } => {
-                    alive[loser as usize] = false;
-                    pruned.push(PruneRecord {
-                        rule: rules[loser as usize].clone(),
-                        condition,
-                        dominated_by: rules[winner as usize].key(),
-                    });
-                }
-                PairEvent::Undecided { short, long } => {
-                    provenance.record_undecided(
-                        &rules[short as usize].provenance_info(),
-                        &rules[long as usize].provenance_info(),
-                    );
-                }
-            }
+    for events in &outcomes {
+        for &(loser, winner) in &events.deaths {
+            alive[loser as usize] = false;
+            pruned.push(PruneRecord {
+                rule: rules[loser as usize].clone(),
+                condition,
+                dominated_by: rules[winner as usize].key(),
+            });
         }
+    }
+    if provenance.is_enabled() {
+        provenance.record_decisions(
+            outcomes.iter().flat_map(|e| e.decisions.iter().copied()),
+            outcomes.iter().flat_map(|e| e.undecided.iter().copied()),
+        );
     }
 }
 
@@ -513,9 +490,10 @@ fn evaluate_group(
     params: &PruneParams,
     pairs: &[NestedPair],
     alive: &[bool],
-    record: bool,
-) -> Vec<PairEvent> {
-    let mut events = Vec::new();
+    ids: &[RuleId],
+) -> GroupEvents {
+    let record = !ids.is_empty();
+    let mut events = GroupEvents::default();
     let mut dead: HashSet<u32> = HashSet::new();
     for &NestedPair { short, long } in pairs {
         let (short_rule, long_rule) = (&rules[short as usize], &rules[long as usize]);
@@ -528,12 +506,13 @@ fn evaluate_group(
                 };
                 let loser_alive = alive[loser as usize] && !dead.contains(&loser);
                 if record {
-                    events.push(PairEvent::Decision {
-                        winner,
-                        loser,
+                    events.decisions.push(PruneDecision {
+                        condition: condition.number(),
                         branch: decision.branch,
-                        margin: decision.margin,
-                        detail: render_detail(condition, &decision, short_rule, long_rule, params),
+                        c_lift: params.c_lift,
+                        c_supp: params.c_supp,
+                        winner: ids[winner as usize],
+                        loser: ids[loser as usize],
                         effective: loser_alive,
                     });
                 }
@@ -541,12 +520,14 @@ fn evaluate_group(
                 // itself pruned earlier; record each loss once.
                 if loser_alive {
                     dead.insert(loser);
-                    events.push(PairEvent::Death { loser, winner });
+                    events.deaths.push((loser, winner));
                 }
             }
             Verdict::Undecided => {
                 if record {
-                    events.push(PairEvent::Undecided { short, long });
+                    events
+                        .undecided
+                        .push((ids[short as usize], ids[long as usize]));
                 }
             }
             Verdict::NotApplicable => {}
@@ -569,11 +550,10 @@ enum Loser {
 struct Decision {
     loser: Loser,
     /// The comparison that decided: `"lift"`, `"support"`, or
-    /// `"lift+support"` (condition 2's two-part short-rule branch).
+    /// `"lift+support"` (condition 2's two-part short-rule branch). The
+    /// branch also fixes the margin it applied: `C_supp` for condition
+    /// 1's support branch, `C_lift` otherwise.
     branch: &'static str,
-    /// The relaxation margin the branch applied (`C_lift`, or `C_supp`
-    /// for condition 1's support branch).
-    margin: f64,
 }
 
 /// Outcome of evaluating one condition for a nested pair.
@@ -596,13 +576,7 @@ fn decide(
     params: &PruneParams,
 ) -> Verdict {
     let (c_lift, c_supp) = (params.c_lift, params.c_supp);
-    let prune = |loser, branch, margin| {
-        Verdict::Prune(Decision {
-            loser,
-            branch,
-            margin,
-        })
-    };
+    let prune = |loser, branch| Verdict::Prune(Decision { loser, branch });
     match condition {
         // Cause analysis: same consequent Y with K in Y; antecedents nested.
         PruneCondition::Condition1 => {
@@ -610,9 +584,9 @@ fn decide(
                 return Verdict::NotApplicable;
             }
             if c_lift * short.lift >= long.lift {
-                prune(Loser::Long, "lift", c_lift)
+                prune(Loser::Long, "lift")
             } else if c_supp * long.support >= short.support {
-                prune(Loser::Short, "support", c_supp)
+                prune(Loser::Short, "support")
             } else {
                 Verdict::Undecided
             }
@@ -624,9 +598,9 @@ fn decide(
                 return Verdict::NotApplicable;
             }
             if c_lift * long.lift >= short.lift && c_supp * long.support >= short.support {
-                prune(Loser::Short, "lift+support", c_lift)
+                prune(Loser::Short, "lift+support")
             } else if c_lift * long.lift < short.lift {
-                prune(Loser::Long, "lift", c_lift)
+                prune(Loser::Long, "lift")
             } else {
                 Verdict::Undecided
             }
@@ -637,7 +611,7 @@ fn decide(
                 return Verdict::NotApplicable;
             }
             if c_lift * short.lift >= long.lift {
-                prune(Loser::Long, "lift", c_lift)
+                prune(Loser::Long, "lift")
             } else {
                 Verdict::Undecided
             }
@@ -649,63 +623,11 @@ fn decide(
                 return Verdict::NotApplicable;
             }
             if c_lift * short.lift >= long.lift {
-                prune(Loser::Long, "lift", c_lift)
+                prune(Loser::Long, "lift")
             } else {
                 Verdict::Undecided
             }
         }
-    }
-}
-
-/// Renders the comparison a firing decision actually evaluated, for
-/// provenance traces (only built when a recorder is attached).
-fn render_detail(
-    condition: PruneCondition,
-    decision: &Decision,
-    short: &Rule,
-    long: &Rule,
-    params: &PruneParams,
-) -> String {
-    let (c_lift, c_supp) = (params.c_lift, params.c_supp);
-    match (condition, decision.branch) {
-        // Condition 2 short-rule branch: long covers short on both axes.
-        (PruneCondition::Condition2, "lift+support") => format!(
-            "C_lift x lift(long) = {:.2} x {:.4} = {:.4} >= lift(short) = {:.4} and \
-             C_supp x supp(long) = {:.2} x {:.4} = {:.4} >= supp(short) = {:.4}",
-            c_lift,
-            long.lift,
-            c_lift * long.lift,
-            short.lift,
-            c_supp,
-            long.support,
-            c_supp * long.support,
-            short.support
-        ),
-        // Condition 2 long-rule branch: even relaxed, long falls short.
-        (PruneCondition::Condition2, _) => format!(
-            "C_lift x lift(long) = {:.2} x {:.4} = {:.4} < lift(short) = {:.4}",
-            c_lift,
-            long.lift,
-            c_lift * long.lift,
-            short.lift
-        ),
-        // Condition 1 support branch: the long rule keeps enough support.
-        (PruneCondition::Condition1, "support") => format!(
-            "C_supp x supp(long) = {:.2} x {:.4} = {:.4} >= supp(short) = {:.4}",
-            c_supp,
-            long.support,
-            c_supp * long.support,
-            short.support
-        ),
-        // Conditions 1/3/4 lift branch: the short rule's lift, relaxed,
-        // covers the long rule's.
-        (_, _) => format!(
-            "C_lift x lift(short) = {:.2} x {:.4} = {:.4} >= lift(long) = {:.4}",
-            c_lift,
-            short.lift,
-            c_lift * short.lift,
-            long.lift
-        ),
     }
 }
 

@@ -162,6 +162,18 @@ impl Rule {
             lift: self.lift,
         }
     }
+
+    /// [`Rule::provenance_info`] borrowed, for the recorder's batch calls.
+    pub fn provenance_ref(&self) -> irma_obs::RuleRef<'_> {
+        irma_obs::RuleRef {
+            antecedent: self.antecedent.items(),
+            consequent: self.consequent.items(),
+            support_count: self.support_count,
+            support: self.support,
+            confidence: self.confidence,
+            lift: self.lift,
+        }
+    }
 }
 
 impl fmt::Display for Rule {

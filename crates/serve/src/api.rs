@@ -503,23 +503,25 @@ fn run_analysis(
         }
     };
     let payload = render_payload(shared, &analysis, fp, params, &provenance);
-    let degraded = analysis.degradation.is_some();
-    if !degraded {
-        if let Ok(mut cache) = shared.cache.lock() {
-            cache.insert(
-                fp,
-                config_key,
-                CacheEntry {
-                    payload: payload.clone(),
-                    catalog: analysis.encoded.catalog.clone(),
-                    provenance,
-                    rules: analysis.rules.clone(),
-                    trie: analysis.rule_trie.clone(),
-                },
-            );
-        }
+    let reply = Reply::json(200, "OK", format!("{{\"cached\":false,{payload}}}\n"));
+    if analysis.degradation.is_none() {
+        // The cache takes the analysis' rules, trie and catalog by move.
+        let entry = CacheEntry {
+            payload,
+            catalog: analysis.encoded.catalog,
+            provenance,
+            rules: analysis.rules,
+            trie: analysis.rule_trie,
+        };
+        let evicted = match shared.cache.lock() {
+            Ok(mut cache) => cache.insert(fp, config_key, entry),
+            Err(_) => Vec::new(),
+        };
+        // Dropping a cached entry frees a whole rule set and provenance
+        // log: do it here, with the cache lock released.
+        drop(evicted);
     }
-    Reply::json(200, "OK", format!("{{\"cached\":false,{payload}}}\n"))
+    reply
 }
 
 fn render_rule(rule: &Rule, catalog: &irma_mine::ItemCatalog) -> String {

@@ -115,16 +115,31 @@ impl ResultCache {
     }
 
     /// Inserts an entry, evicting the least recently used past the cap.
-    pub fn insert(&mut self, fingerprint: &str, config_key: &str, entry: CacheEntry) {
+    ///
+    /// Returns the entries that left the cache (an evicted victim, or the
+    /// entry this one replaced) instead of dropping them: a cached entry
+    /// owns a whole rule set and provenance log, so the caller drops them
+    /// after releasing the cache lock.
+    pub fn insert(
+        &mut self,
+        fingerprint: &str,
+        config_key: &str,
+        entry: CacheEntry,
+    ) -> Vec<Arc<CacheEntry>> {
         let key = (fingerprint.to_string(), config_key.to_string());
         let stamp = self.next_stamp();
-        self.map.insert(
-            key.clone(),
-            Slot {
-                entry: Arc::new(entry),
-                stamp,
-            },
-        );
+        let mut evicted: Vec<Arc<CacheEntry>> = self
+            .map
+            .insert(
+                key.clone(),
+                Slot {
+                    entry: Arc::new(entry),
+                    stamp,
+                },
+            )
+            .map(|slot| slot.entry)
+            .into_iter()
+            .collect();
         self.by_fp.insert(fingerprint.to_string(), key);
         while self.map.len() > self.cap {
             let Some(victim) = self
@@ -135,11 +150,12 @@ impl ResultCache {
             else {
                 break;
             };
-            self.map.remove(&victim);
+            evicted.extend(self.map.remove(&victim).map(|slot| slot.entry));
             if self.by_fp.get(&victim.0) == Some(&victim) {
                 self.by_fp.remove(&victim.0);
             }
         }
+        evicted
     }
 }
 
@@ -171,6 +187,23 @@ mod tests {
         assert!(cache.get("fp3", "a").is_some());
         // The fingerprint index follows the eviction.
         assert!(cache.latest_for_fp("fp2").is_none());
+    }
+
+    #[test]
+    fn insert_past_the_cap_hands_back_the_lru_victim() {
+        let mut cache = ResultCache::new(2);
+        assert!(cache.insert("fp1", "a", entry("1a")).is_empty());
+        assert!(cache.insert("fp2", "a", entry("2a")).is_empty());
+        assert!(cache.get("fp1", "a").is_some());
+        let evicted = cache.insert("fp3", "a", entry("3a"));
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].payload, "2a");
+        // The cache let go of it: the caller holds the last reference.
+        assert_eq!(Arc::strong_count(&evicted[0]), 1);
+        // Replacing a key hands back the replaced entry.
+        let replaced = cache.insert("fp3", "a", entry("3b"));
+        assert_eq!(replaced.len(), 1);
+        assert_eq!(replaced[0].payload, "3a");
     }
 
     #[test]
